@@ -1,0 +1,4 @@
+(* Monotonic wall clock in nanoseconds (CLOCK_MONOTONIC; never steps
+   backwards, unlike [Unix.gettimeofday]). *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let seconds_since t0 = float_of_int (now_ns () - t0) /. 1e9
