@@ -20,11 +20,15 @@
    the in-memory vs disk-backed log store, and a replacement-churn run
    that exercises log compaction.
 
-   Flags: --micro-only | --macro-only | --tables-only | --store-only
-   select one part (default: all); --json additionally writes every
-   micro/macro result that ran to BENCH_results.json (schema: bench
-   name -> {value, unit} with unit one of ns/op, ops/sec, ms), merging
-   with rows already in the file so partial runs keep the rest. *)
+   Part 5: certificate-path crypto — SHA-1/SHA-256 at certificate
+   sizes, digest hex, one store receipt and one file certificate.
+
+   Flags: --micro-only | --macro-only | --tables-only | --store-only |
+   --crypto-only select one part (default: all); --json additionally
+   writes every micro/macro result that ran to BENCH_results.json
+   (schema: bench name -> {value, unit} with unit one of ns/op,
+   ops/sec, ms), merging with rows already in the file so partial runs
+   keep the rest. *)
 
 open Bechamel
 open Toolkit
@@ -156,12 +160,61 @@ let micro_tests () =
         (Staged.stage (fun () -> Harness_fixture.insert_once past_system_untraced));
     ]
 
-let run_micro () =
-  print_endline "== micro-benchmarks (Bechamel, monotonic clock) ==";
+(* Certificate-path crypto: the digests, hex and signing material on
+   every insert (PAST §2.1) — SHA-1/SHA-256 at the sizes certificate
+   and receipt materials have, hex of one SHA-256 digest, one store
+   receipt and one file certificate under the [`Insecure] signer the
+   experiments use, both as built by [Certificate] and as issued by a
+   card. The card's quota is unbounded so repeated issues
+   never fail. *)
+module Crypto_bench = struct
+  module Cert = Past_core.Certificate
+  module Smartcard = Past_core.Smartcard
+  module Signer = Past_crypto.Signer
+
+  let bytes_64 = String.sub payload_4k 0 64
+  let bytes_256 = String.sub payload_4k 0 256
+  let digest_32 = Sha256.digest_string "digest"
+
+  let card =
+    lazy
+      (let keypair = Signer.generate (Rng.create 7) ~mode:`Insecure in
+       Smartcard.make ~keypair ~endorsement:(Bytes.of_string "endorsed")
+         ~broker:(Signer.public keypair) ~quota:max_int ~contributed:0 ~rng:(Rng.create 8))
+
+  let tests () =
+    let card = Lazy.force card in
+    let keypair = Smartcard.keypair card and node_key = Smartcard.public card in
+    let node_id = Smartcard.node_id card in
+    let file_id = Id.random (Rng.create 9) ~width:Id.file_bits in
+    Test.make_grouped ~name:"crypto"
+      [
+        Test.make ~name:"sha1 (64 B)" (Staged.stage (fun () -> Sha1.digest_string bytes_64));
+        Test.make ~name:"sha1 (256 B)" (Staged.stage (fun () -> Sha1.digest_string bytes_256));
+        Test.make ~name:"sha256 (64 B)" (Staged.stage (fun () -> Sha256.digest_string bytes_64));
+        Test.make ~name:"sha256 (256 B)" (Staged.stage (fun () -> Sha256.digest_string bytes_256));
+        Test.make ~name:"hex of 32-byte digest"
+          (Staged.stage (fun () -> Sha256.hex_of_digest digest_32));
+        Test.make ~name:"make_store_receipt (insecure)"
+          (Staged.stage (fun () ->
+               Cert.make_store_receipt ~keypair ~node_key ~node_id ~file_id ~now:1234.5));
+        (* What a replica holder calls: adds deriving the card's nodeId. *)
+        Test.make ~name:"issue_store_receipt (insecure)"
+          (Staged.stage (fun () -> Smartcard.issue_store_receipt card ~file_id ~now:1234.5));
+        (* Declared size and empty data, as the simulated clients insert. *)
+        Test.make ~name:"issue_file_certificate (insecure)"
+          (Staged.stage (fun () ->
+               Smartcard.issue_file_certificate card ~name:"bench/file" ~data:""
+                 ~declared_size:65536 ~replication:3 ~now:1234.5 ()));
+      ]
+end
+
+let run_bechamel title tests =
+  print_endline title;
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
+  let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let table = Past_stdext.Text_table.create [ "benchmark"; "time/op"; "r^2" ] in
   let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
@@ -183,6 +236,12 @@ let run_micro () =
       Past_stdext.Text_table.add_row table [ name; pretty; r2 ])
     (List.sort compare rows);
   Past_stdext.Text_table.print table
+
+
+let run_micro () = run_bechamel "== micro-benchmarks (Bechamel, monotonic clock) ==" (micro_tests ())
+
+let run_crypto () =
+  run_bechamel "== certificate-path crypto (Bechamel, monotonic clock) ==" (Crypto_bench.tests ())
 
 (* --- macro-benchmarks --------------------------------------------------- *)
 
@@ -441,9 +500,14 @@ let () =
   let macro_only = List.mem "--macro-only" args in
   let tables_only = List.mem "--tables-only" args in
   let store_only = List.mem "--store-only" args in
+  let crypto_only = List.mem "--crypto-only" args in
   let json = List.mem "--json" args in
-  let all = not (micro_only || macro_only || tables_only || store_only) in
+  let all = not (micro_only || macro_only || tables_only || store_only || crypto_only) in
   if all || micro_only then run_micro ();
+  if all || crypto_only then begin
+    if all then print_newline ();
+    run_crypto ()
+  end;
   if all || macro_only then begin
     if all || micro_only then print_newline ();
     run_macro ()

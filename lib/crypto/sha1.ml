@@ -1,80 +1,109 @@
-(* 32-bit arithmetic on native 63-bit ints, masking after each op. *)
+(* 32-bit arithmetic on native 63-bit ints, masking after each op.
+
+   Full 64-byte blocks are compressed straight from the input string;
+   only the last one or two blocks, which carry the 0x80 terminator and
+   the bit length, are built in a small padded buffer. *)
 
 let m32 = 0xFFFFFFFF
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m32
+let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m32
 
-let pad msg =
-  let len = Bytes.length msg in
-  let bit_len = len * 8 in
-  let padded_len =
-    let l = len + 1 + 8 in
-    ((l + 63) / 64) * 64
-  in
-  let out = Bytes.make padded_len '\000' in
-  Bytes.blit msg 0 out 0 len;
-  Bytes.set out len '\x80';
-  for i = 0 to 7 do
-    Bytes.set out (padded_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xFF))
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Unchecked big-endian word load; callers keep [off + 4 <= length]. *)
+let[@inline] load_be s off =
+  let x = get32u s off in
+  Int32.to_int (if Sys.big_endian then x else bswap32 x) land m32
+
+(* One block at [s.[off] .. s.[off + 63]] into the chaining state [h]
+   (5 words), with [w] as the 80-word schedule. The round loop is split
+   by phase so each runs with its own boolean function (Ch and Maj in
+   their three-operation forms) and constant.
+   The rounds are written out rather than shared through a local
+   function: a ref captured by a closure stays a heap cell, one that is
+   not becomes a register. *)
+let compress h w s off =
+  for t = 0 to 15 do
+    Array.unsafe_set w t (load_be s (off + (4 * t)))
   done;
-  out
+  for t = 16 to 79 do
+    Array.unsafe_set w t
+      (rotl
+         (Array.unsafe_get w (t - 3)
+         lxor Array.unsafe_get w (t - 8)
+         lxor Array.unsafe_get w (t - 14)
+         lxor Array.unsafe_get w (t - 16))
+         1)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) in
+  for t = 0 to 19 do
+    let f = !d lxor (!b land (!c lxor !d)) in
+    let tmp = (rotl !a 5 + f + !e + Array.unsafe_get w t + 0x5A827999) land m32 in
+    e := !d;
+    d := !c;
+    c := rotl !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for t = 20 to 39 do
+    let f = !b lxor !c lxor !d in
+    let tmp = (rotl !a 5 + f + !e + Array.unsafe_get w t + 0x6ED9EBA1) land m32 in
+    e := !d;
+    d := !c;
+    c := rotl !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for t = 40 to 59 do
+    let f = (!b land !c) lor (!d land (!b lor !c)) in
+    let tmp = (rotl !a 5 + f + !e + Array.unsafe_get w t + 0x8F1BBCDC) land m32 in
+    e := !d;
+    d := !c;
+    c := rotl !b 30;
+    b := !a;
+    a := tmp
+  done;
+  for t = 60 to 79 do
+    let f = !b lxor !c lxor !d in
+    let tmp = (rotl !a 5 + f + !e + Array.unsafe_get w t + 0xCA62C1D6) land m32 in
+    e := !d;
+    d := !c;
+    c := rotl !b 30;
+    b := !a;
+    a := tmp
+  done;
+  h.(0) <- (h.(0) + !a) land m32;
+  h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32;
+  h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32
 
-let digest_bytes msg =
-  let data = pad msg in
-  let h0 = ref 0x67452301
-  and h1 = ref 0xEFCDAB89
-  and h2 = ref 0x98BADCFE
-  and h3 = ref 0x10325476
-  and h4 = ref 0xC3D2E1F0 in
+let digest_string s =
+  let len = String.length s in
+  let h = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |] in
   let w = Array.make 80 0 in
-  let blocks = Bytes.length data / 64 in
-  for blk = 0 to blocks - 1 do
-    let off = blk * 64 in
-    for t = 0 to 15 do
-      let b i = Char.code (Bytes.get data (off + (4 * t) + i)) in
-      w.(t) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-    done;
-    for t = 16 to 79 do
-      w.(t) <- rotl (w.(t - 3) lxor w.(t - 8) lxor w.(t - 14) lxor w.(t - 16)) 1
-    done;
-    let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
-    for t = 0 to 79 do
-      let f, k =
-        if t < 20 then ((!b land !c) lor (lnot !b land !d) land m32, 0x5A827999)
-        else if t < 40 then (!b lxor !c lxor !d, 0x6ED9EBA1)
-        else if t < 60 then ((!b land !c) lor (!b land !d) lor (!c land !d), 0x8F1BBCDC)
-        else (!b lxor !c lxor !d, 0xCA62C1D6)
-      in
-      let tmp = (rotl !a 5 + (f land m32) + !e + w.(t) + k) land m32 in
-      e := !d;
-      d := !c;
-      c := rotl !b 30;
-      b := !a;
-      a := tmp
-    done;
-    h0 := (!h0 + !a) land m32;
-    h1 := (!h1 + !b) land m32;
-    h2 := (!h2 + !c) land m32;
-    h3 := (!h3 + !d) land m32;
-    h4 := (!h4 + !e) land m32
+  let full = len / 64 in
+  for blk = 0 to full - 1 do
+    compress h w s (64 * blk)
   done;
+  (* Tail: the last [rest] bytes, 0x80, zeros, 64-bit big-endian bit
+     length — one block if it fits in 64 bytes, else two. *)
+  let rest = len - (64 * full) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s (64 * full) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
   let out = Bytes.create 20 in
-  let put i v =
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j) (Char.chr ((v lsr (8 * (3 - j))) land 0xFF))
-    done
-  in
-  put 0 !h0;
-  put 1 !h1;
-  put 2 !h2;
-  put 3 !h3;
-  put 4 !h4;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
   out
 
-let digest_string s = digest_bytes (Bytes.of_string s)
-
-let hex_of_digest d =
-  let buf = Buffer.create (2 * Bytes.length d) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
-
+(* The input is only read, and not retained, during the call. *)
+let digest_bytes msg = digest_string (Bytes.unsafe_to_string msg)
+let hex_of_digest = Past_stdext.Hex.of_bytes
 let digest_hex s = hex_of_digest (digest_string s)

@@ -1,6 +1,16 @@
+(* 32-bit arithmetic on native 63-bit ints, masking after each op.
+
+   Full 64-byte blocks are compressed straight from the input string;
+   only the last one or two blocks, which carry the 0x80 terminator and
+   the bit length, are built in a small padded buffer. *)
+
 let m32 = 0xFFFFFFFF
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-let shr x n = x lsr n
+
+(* A 32-bit word next to a copy of itself (bits 32-62; bit 63 does not
+   exist and is never needed). Bits 0-31 of [twice x lsr n] are x
+   rotated right by n, for 0 <= n <= 31: one shift per rotation, and
+   one mask per xor of rotations. *)
+let[@inline] twice x = x lor (x lsl 32)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
@@ -14,80 +24,110 @@ let k =
      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
      0xc67178f2 |]
 
-let pad msg =
-  let len = Bytes.length msg in
-  let bit_len = len * 8 in
-  let padded_len =
-    let l = len + 1 + 8 in
-    ((l + 63) / 64) * 64
-  in
-  let out = Bytes.make padded_len '\000' in
-  Bytes.blit msg 0 out 0 len;
-  Bytes.set out len '\x80';
-  for i = 0 to 7 do
-    Bytes.set out (padded_len - 1 - i) (Char.chr ((bit_len lsr (8 * i)) land 0xFF))
-  done;
-  out
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let digest_bytes msg =
-  let data = pad msg in
+(* Σ1(e) + Ch(e, f, g) and Σ0(a) + Maj(a, b, c), each a sum of two
+   32-bit values left unmasked; Ch and Maj in their three-operation
+   forms. *)
+let[@inline] sigma1_ch e f g =
+  let x = twice e in
+  (((x lsr 6) lxor (x lsr 11) lxor (x lsr 25)) land m32) + (g lxor (e land (f lxor g)))
+
+let[@inline] sigma0_maj a b c =
+  let x = twice a in
+  (((x lsr 2) lxor (x lsr 13) lxor (x lsr 22)) land m32) + ((a land (b lor c)) lor (b land c))
+
+let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
+
+(* Unchecked big-endian word load; callers keep [off + 4 <= length]. *)
+let[@inline] load_be s off =
+  let x = get32u s off in
+  Int32.to_int (if Sys.big_endian then x else bswap32 x) land m32
+
+(* One block at [s.[off] .. s.[off + 63]] into the chaining state [h]
+   (8 words), with [w] as the 64-word schedule. *)
+let compress h w s off =
+  for t = 0 to 15 do
+    Array.unsafe_set w t (load_be s (off + (4 * t)))
+  done;
+  for t = 16 to 63 do
+    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
+    let x15 = twice w15 and x2 = twice w2 in
+    let s0 = ((x15 lsr 7) lxor (x15 lsr 18) lxor (w15 lsr 3)) land m32 in
+    let s1 = ((x2 lsr 17) lxor (x2 lsr 19) lxor (w2 lsr 10)) land m32 in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land m32)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  (* Eight rounds per iteration with the working variables renamed
+     instead of shifted: each round writes only d and h. *)
+  for i = 0 to 7 do
+    let t = 8 * i in
+    let t1 = !hh + sigma1_ch !e !f !g + kw w t in
+    d := (!d + t1) land m32;
+    hh := (t1 + sigma0_maj !a !b !c) land m32;
+    let t1 = !g + sigma1_ch !d !e !f + kw w (t + 1) in
+    c := (!c + t1) land m32;
+    g := (t1 + sigma0_maj !hh !a !b) land m32;
+    let t1 = !f + sigma1_ch !c !d !e + kw w (t + 2) in
+    b := (!b + t1) land m32;
+    f := (t1 + sigma0_maj !g !hh !a) land m32;
+    let t1 = !e + sigma1_ch !b !c !d + kw w (t + 3) in
+    a := (!a + t1) land m32;
+    e := (t1 + sigma0_maj !f !g !hh) land m32;
+    let t1 = !d + sigma1_ch !a !b !c + kw w (t + 4) in
+    hh := (!hh + t1) land m32;
+    d := (t1 + sigma0_maj !e !f !g) land m32;
+    let t1 = !c + sigma1_ch !hh !a !b + kw w (t + 5) in
+    g := (!g + t1) land m32;
+    c := (t1 + sigma0_maj !d !e !f) land m32;
+    let t1 = !b + sigma1_ch !g !hh !a + kw w (t + 6) in
+    f := (!f + t1) land m32;
+    b := (t1 + sigma0_maj !c !d !e) land m32;
+    let t1 = !a + sigma1_ch !f !g !hh + kw w (t + 7) in
+    e := (!e + t1) land m32;
+    a := (t1 + sigma0_maj !b !c !d) land m32
+  done;
+  h.(0) <- (h.(0) + !a) land m32;
+  h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32;
+  h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32;
+  h.(5) <- (h.(5) + !f) land m32;
+  h.(6) <- (h.(6) + !g) land m32;
+  h.(7) <- (h.(7) + !hh) land m32
+
+let digest_string s =
+  let len = String.length s in
   let h =
     [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
        0x5be0cd19 |]
   in
   let w = Array.make 64 0 in
-  let blocks = Bytes.length data / 64 in
-  for blk = 0 to blocks - 1 do
-    let off = blk * 64 in
-    for t = 0 to 15 do
-      let b i = Char.code (Bytes.get data (off + (4 * t) + i)) in
-      w.(t) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-    done;
-    for t = 16 to 63 do
-      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor shr w.(t - 15) 3 in
-      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor shr w.(t - 2) 10 in
-      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
-    done;
-    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for t = 0 to 63 do
-      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-      let temp1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-      let temp2 = (s0 + maj) land m32 in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + temp1) land m32;
-      d := !c;
-      c := !b;
-      b := !a;
-      a := (temp1 + temp2) land m32
-    done;
-    h.(0) <- (h.(0) + !a) land m32;
-    h.(1) <- (h.(1) + !b) land m32;
-    h.(2) <- (h.(2) + !c) land m32;
-    h.(3) <- (h.(3) + !d) land m32;
-    h.(4) <- (h.(4) + !e) land m32;
-    h.(5) <- (h.(5) + !f) land m32;
-    h.(6) <- (h.(6) + !g) land m32;
-    h.(7) <- (h.(7) + !hh) land m32
+  let full = len / 64 in
+  for blk = 0 to full - 1 do
+    compress h w s (64 * blk)
   done;
+  (* Tail: the last [rest] bytes, 0x80, zeros, 64-bit big-endian bit
+     length — one block if it fits in 64 bytes, else two. *)
+  let rest = len - (64 * full) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\000' in
+  Bytes.blit_string s (64 * full) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if tail_len = 128 then compress h w tail 64;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j) (Char.chr ((h.(i) lsr (8 * (3 - j))) land 0xFF))
-    done
-  done;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
   out
 
-let digest_string s = digest_bytes (Bytes.of_string s)
-
-let hex_of_digest d =
-  let buf = Buffer.create (2 * Bytes.length d) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
-
+(* The input is only read, and not retained, during the call. *)
+let digest_bytes msg = digest_string (Bytes.unsafe_to_string msg)
+let hex_of_digest = Past_stdext.Hex.of_bytes
 let digest_hex s = hex_of_digest (digest_string s)

@@ -29,28 +29,8 @@ let of_hex ~width s =
   if Nat.num_bits n > width then invalid_arg "Id.of_hex: value exceeds width";
   Bytes.to_string (Nat.to_bytes_be ~width:(width / 8) n)
 
-let hex_digits = "0123456789abcdef"
-
-(* [Id.short] runs on every route/join via Trace.Route_start, so hex
-   rendering is hot. Byte value v renders as the precomputed character
-   pair at [2v, 2v+1]: one bounds-check-free table read per output
-   character and no per-nibble shifting. *)
-let hex_pairs =
-  String.init 512 (fun i ->
-      let v = i / 2 in
-      if i land 1 = 0 then hex_digits.[v lsr 4] else hex_digits.[v land 0xf])
-
-let hex_of_prefix (t : t) n =
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let v = Char.code (String.unsafe_get t i) in
-    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_pairs (2 * v));
-    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_pairs ((2 * v) + 1))
-  done;
-  Bytes.unsafe_to_string out
-
-let to_hex (t : t) = hex_of_prefix t (String.length t)
-let short (t : t) = hex_of_prefix t (Stdlib.min 4 (String.length t))
+let to_hex (t : t) = Past_stdext.Hex.of_string t
+let short (t : t) = Past_stdext.Hex.of_string_prefix t (Stdlib.min 4 (String.length t))
 
 let random rng ~width =
   check_width "Id.random" width;
@@ -63,8 +43,8 @@ let node_id_of_key key =
 let node_id_of_public_key pub = node_id_of_key (Past_crypto.Rsa.public_to_string pub)
 
 let file_id_of_key ~name ~owner_key ~salt =
-  let material = Printf.sprintf "fileid:%s:%s:%s" name owner_key salt in
-  Bytes.to_string (Past_crypto.Sha1.digest_string material)
+  let material = String.concat ":" [ "fileid"; name; owner_key; salt ] in
+  Bytes.unsafe_to_string (Past_crypto.Sha1.digest_string material)
 
 let file_id ~name ~owner ~salt =
   file_id_of_key ~name ~owner_key:(Past_crypto.Rsa.public_to_string owner) ~salt

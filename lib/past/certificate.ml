@@ -14,13 +14,18 @@ type file = {
   signature : bytes;
 }
 
-(* Canonical byte strings under the signatures. Fields are length-safe
-   because ids and hashes are fixed-width hex and the rest are
-   integers. *)
+(* Canonical byte strings under the signatures: the fields joined by
+   ':' (integers in decimal, times as hex floats, "%h"). Fields are
+   length-safe because ids and hashes are fixed-width hex and the rest
+   are integers. Each material is built in one allocation and handed
+   to the signer without a copy. *)
+let material fields = Bytes.unsafe_of_string (String.concat ":" fields)
+let time_field t = Printf.sprintf "%h" t
+
 let file_material ~file_id ~owner ~content_hash ~size ~replication ~salt ~inserted_at =
-  Bytes.of_string
-    (Printf.sprintf "filecert:%s:%s:%s:%d:%d:%s:%h" (Id.to_hex file_id)
-       (Signer.public_to_string owner) content_hash size replication salt inserted_at)
+  material
+    [ "filecert"; Id.to_hex file_id; Signer.public_to_string owner; content_hash;
+      string_of_int size; string_of_int replication; salt; time_field inserted_at ]
 
 let content_hash_of data = Sha1.hex_of_digest (Sha1.digest_string data)
 
@@ -66,9 +71,9 @@ type store_receipt = {
 }
 
 let store_receipt_material ~file_id ~node_key ~node_id ~now =
-  Bytes.of_string
-    (Printf.sprintf "storereceipt:%s:%s:%s:%h" (Id.to_hex file_id)
-       (Signer.public_to_string node_key) (Id.to_hex node_id) now)
+  material
+    [ "storereceipt"; Id.to_hex file_id; Signer.public_to_string node_key; Id.to_hex node_id;
+      time_field now ]
 
 let make_store_receipt ~keypair ~node_key ~node_id ~file_id ~now =
   {
@@ -88,8 +93,7 @@ let verify_store_receipt r =
 type reclaim = { rc_file_id : Id.t; rc_owner : Signer.public; issued_at : float; rc_signature : bytes }
 
 let reclaim_material ~file_id ~owner ~now =
-  Bytes.of_string
-    (Printf.sprintf "reclaim:%s:%s:%h" (Id.to_hex file_id) (Signer.public_to_string owner) now)
+  material [ "reclaim"; Id.to_hex file_id; Signer.public_to_string owner; time_field now ]
 
 let make_reclaim ~keypair ~owner ~file_id ~now =
   {
@@ -115,9 +119,8 @@ type reclaim_receipt = {
 }
 
 let reclaim_receipt_material ~file_id ~node_key ~freed =
-  Bytes.of_string
-    (Printf.sprintf "reclaimreceipt:%s:%s:%d" (Id.to_hex file_id)
-       (Signer.public_to_string node_key) freed)
+  material
+    [ "reclaimreceipt"; Id.to_hex file_id; Signer.public_to_string node_key; string_of_int freed ]
 
 let make_reclaim_receipt ~keypair ~node_key ~file_id ~freed =
   {

@@ -228,6 +228,97 @@ let broker_enforces_balance () =
   | Ok _ -> Alcotest.fail "over-demand must fail"
   | Error `Supply_exhausted -> ()
 
+(* --- pinned bytes ---
+
+   Every certificate and receipt, the card's nodeId and an issued
+   certificate's salt and fileId, at fixed inputs under both signers.
+   The expected values were captured from the Printf-built materials and
+   the original SHA kernels; the fast paths must reproduce them byte for
+   byte. Times are chosen so the "%h" fields carry fractions and
+   exponents. *)
+
+let pinned_outputs mode =
+  let keypair = Signer.generate (Rng.create 7) ~mode in
+  let owner = Signer.public keypair in
+  let endorsement = Bytes.of_string "endorsed" in
+  let card =
+    Smartcard.make ~keypair ~endorsement ~broker:owner ~quota:1_000_000 ~contributed:0
+      ~rng:(Rng.create 8)
+  in
+  let node_id = Smartcard.node_id card in
+  let f =
+    Cert.make_file ~keypair ~owner ~owner_endorsement:endorsement ~name:"pinned/file.txt"
+      ~data:"pinned file contents" ~replication:5 ~salt:"5a17" ~now:1234.5678 ()
+  in
+  let file_id = f.Cert.file_id in
+  let sr = Cert.make_store_receipt ~keypair ~node_key:owner ~node_id ~file_id ~now:0.1 in
+  let rc = Cert.make_reclaim ~keypair ~owner ~file_id ~now:98765.25 in
+  let rr = Cert.make_reclaim_receipt ~keypair ~node_key:owner ~file_id ~freed:4096 in
+  let issued =
+    match
+      Smartcard.issue_file_certificate card ~name:"issued" ~data:"issued data" ~replication:3
+        ~now:7.0 ()
+    with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "quota unexpectedly exceeded"
+  in
+  let card_sr = Smartcard.issue_store_receipt card ~file_id:issued.Cert.file_id ~now:3e6 in
+  let hex b = Id.to_hex (Id.of_bytes b) in
+  [
+    ("node_id", Id.to_hex node_id);
+    ("file_id", Id.to_hex file_id);
+    ("content_hash", f.Cert.content_hash);
+    ("file_sig", hex f.Cert.signature);
+    ("store_receipt_sig", hex sr.Cert.sr_signature);
+    ("reclaim_sig", hex rc.Cert.rc_signature);
+    ("reclaim_receipt_sig", hex rr.Cert.rr_signature);
+    ("issued_salt", issued.Cert.salt);
+    ("issued_file_id", Id.to_hex issued.Cert.file_id);
+    ("issued_sig", hex issued.Cert.signature);
+    ("card_receipt_sig", hex card_sr.Cert.sr_signature);
+  ]
+
+let check_pinned mode expected () =
+  List.iter2
+    (fun (label, want) (label', got) ->
+      check Alcotest.string "field order" label label';
+      check Alcotest.string label want got)
+    expected (pinned_outputs mode)
+
+let pinned_insecure =
+  check_pinned `Insecure
+    [
+      ("node_id", "9ce9f3e4f39988e48bfc2e69db748fd7");
+      ("file_id", "59d3b92012f9d9cf553d69e3b8d1251fc5ed4e1a");
+      ("content_hash", "21352faad2125e24b9f869d93878680220d39a39");
+      ("file_sig", "96366737eb2c637e5736147ab4bad7b3532ce65e8066b2e6ae7e23b6ea8d3cf6");
+      ("store_receipt_sig", "1efdc23aacfdf7825854daff624cc74174312f32b334c116b7fb7f55efc059b6");
+      ("reclaim_sig", "98049d907e60610aa4e6cd1f1e9fad5f4cc0c60fbecf31b6291a5fdba6a09786");
+      ("reclaim_receipt_sig", "005b73ee37f01060e15ffa6937b67ece09462949fd32ad58188acd8d672a4f1c");
+      ("issued_salt", "5f970303b2640e97");
+      ("issued_file_id", "73af0fc54837023db5875f7cd612a420b617abac");
+      ("issued_sig", "fcc9009c6c5d9b6a4122ed218033cdd2c3600a6d3646669d8af61ed8efda686f");
+      ("card_receipt_sig", "30b22f7ecf114a2b4d61fabc8f57fcde8b271d270972d6e9ddab84f1a7a66960");
+    ]
+
+(* One RSA case at the suite's key size, so the material rewrite is
+   checked under both signers. *)
+let pinned_rsa =
+  check_pinned (`Rsa 256)
+    [
+      ("node_id", "4c7ff2f21ea6c20d0db44abcc5c5fabc");
+      ("file_id", "b18a23c344aad70207ac807806a2714eea9d9499");
+      ("content_hash", "21352faad2125e24b9f869d93878680220d39a39");
+      ("file_sig", "25a27f8d569d6d59c3a2e823fd1dd3e997d3f92ae4b23bc9280e94c280cce2bd");
+      ("store_receipt_sig", "a18cd73ac8fb6bb5d9d9a7e9a14267cdbef2f14e34e2bffc84122087ecea1df8");
+      ("reclaim_sig", "2f5af98808a2671ac96e84511146f14cca3d18ffa9533f20355d4c1cc14cd2d8");
+      ("reclaim_receipt_sig", "a8c93c066f0d7d16dfef36bd60cdeeb23925eced763e34a2663e3ad4a6c3c060");
+      ("issued_salt", "5f970303b2640e97");
+      ("issued_file_id", "bb6fc60066eb1fac9002ecc8c71aa233b8bfa39d");
+      ("issued_sig", "aafa509acf4f987e82a0ecdf2bb4d095b8030f6aa28237fe917ac17200aa96d0");
+      ("card_receipt_sig", "164e70096faeee2d54a431a4a1e51daac9d97ae835068390c3bebac9d4351229");
+    ]
+
 let suite =
   ( "certificates",
     [
@@ -251,4 +342,6 @@ let suite =
       "node id from card" => node_id_from_card;
       "broker ledger" => broker_ledger;
       "broker enforces balance" => broker_enforces_balance;
+      "pinned bytes, insecure signer" => pinned_insecure;
+      "pinned bytes, rsa-256 signer" => pinned_rsa;
     ] )

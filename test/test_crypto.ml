@@ -42,17 +42,24 @@ let sha256_million_a () =
   check Alcotest.string "10^6 x a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.digest_hex (String.make 1_000_000 'a'))
 
-(* Padding boundaries: lengths around the 64-byte block edge. *)
+(* The production kernels against the original implementations kept
+   in Sha_oracle: digest and hex for every length 0-300, which covers
+   the one-vs-two padding-block edges (55/56, 119/120) and the
+   full-block edges (63/64, 127/128) several times over. *)
+let matches_oracle s =
+  String.equal (Sha1.digest_hex s) (Sha_oracle.Sha1.digest_hex s)
+  && String.equal (Sha256.digest_hex s) (Sha_oracle.Sha256.digest_hex s)
+
 let padding_boundaries () =
-  List.iter
-    (fun len ->
-      let s = String.make len 'x' in
-      check Alcotest.int (Printf.sprintf "sha1 len %d" len) 20 (Bytes.length (Sha1.digest_string s));
-      check Alcotest.int
-        (Printf.sprintf "sha256 len %d" len)
-        32
-        (Bytes.length (Sha256.digest_string s)))
-    [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+  for len = 0 to 300 do
+    let s = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+    check Alcotest.bool (Printf.sprintf "len %d = oracle" len) true (matches_oracle s)
+  done
+
+let qcheck_kernels_match_oracle =
+  QCheck.Test.make ~name:"sha1/sha256 = oracle on arbitrary strings" ~count:500
+    QCheck.(string_gen_of_size Gen.(int_bound 1100) Gen.char)
+    matches_oracle
 
 let sha_distinct_inputs () =
   check Alcotest.bool "different inputs differ" false
@@ -142,6 +149,7 @@ let suite =
       "sha256 FIPS vectors" => sha256_vectors;
       "sha256 million a" => sha256_million_a;
       "padding boundaries" => padding_boundaries;
+      QCheck_alcotest.to_alcotest qcheck_kernels_match_oracle;
       "distinct inputs" => sha_distinct_inputs;
       "rsa sign/verify" => rsa_sign_verify;
       "rsa rejects tampered message" => rsa_reject_tampered_message;
