@@ -270,9 +270,11 @@ let rec send_lookup t file_id state =
   Id.Table.replace t.lookups file_id state;
   Node.route_client_op t.node ~parent:state.lk_op ~key:(Id.prefix_of_file_id file_id)
     (Wire.Lookup { file_id; client = client_ref t ~op:state.lk_op });
+  (* The timer outlives the op: [s == state] keeps it from failing a
+     newer lookup of the same file by this client. *)
   Net.schedule (net t) ~delay:t.op_timeout (fun () ->
       match Id.Table.find_opt t.lookups file_id with
-      | Some s when (not s.lk_settled) && s.lk_attempt = attempt ->
+      | Some s when s == state && (not s.lk_settled) && s.lk_attempt = attempt ->
         lookup_failed_attempt t file_id s
       | _ -> ())
 
@@ -338,7 +340,7 @@ let reclaim t ~file_id ?expected cb =
     (Wire.Reclaim { rc; client = client_ref t ~op });
   Net.schedule (net t) ~delay:t.op_timeout (fun () ->
       match Id.Table.find_opt t.reclaims file_id with
-      | Some s when not s.rc_settled -> finish_reclaim t file_id s
+      | Some s when s == state && not s.rc_settled -> finish_reclaim t file_id s
       | _ -> ())
 
 (* --- audits (§2.1: "nodes are randomly audited to see if they can

@@ -386,6 +386,71 @@ let rejoin_pull_restores_range ~pull () =
       true (pulled > 0)
   else check Alcotest.int "no pull, no push: store stays empty" 0 pulled
 
+(* A finished op's timeout timer still fires [op_timeout] after the op
+   was sent. It must not touch a newer op of the same client on the
+   same file: here the second op is sent a hair before the first one's
+   timer fires and is still in flight when it does. *)
+let stale_timeout_setup () =
+  let timeout = 2_000.0 in
+  (* No caching, so a lookup from a node that holds no replica always
+     crosses the network and stays in flight for a while. *)
+  let node_config =
+    { Node.default_config with cache_on_insert_path = false; cache_on_lookup_path = false }
+  in
+  let sys = small_system ~node_config () in
+  let owner = System.new_client sys ~op_timeout:timeout ~quota:100_000 () in
+  let r = insert_exn owner ~name:"twice" ~data:"read me twice" ~k:3 in
+  (sys, owner, r.file_id, timeout)
+
+let step_until sys settled =
+  while (not (settled ())) && Net.step (System.net sys) do
+    ()
+  done
+
+let second_op_at ~sys ~first_sent ~timeout start =
+  let net = System.net sys in
+  Net.schedule net ~delay:(first_sent +. timeout -. 1e-6 -. Net.now net) start
+
+let stale_lookup_timeout_spares_new_lookup () =
+  let sys, _, file_id, timeout = stale_timeout_setup () in
+  let access =
+    List.find
+      (fun node -> not (Store.mem (Node.store node) file_id))
+      (Array.to_list (System.nodes sys))
+  in
+  let client = System.new_client sys ~access ~op_timeout:timeout ~quota:0 () in
+  let first_sent = Net.now (System.net sys) in
+  (match Client.lookup_sync client ~file_id () with
+  | Client.Found _ -> ()
+  | Client.Lookup_failed -> Alcotest.fail "first lookup failed");
+  let second = ref None in
+  second_op_at ~sys ~first_sent ~timeout (fun () ->
+      Client.lookup client ~file_id (fun r -> second := Some r));
+  step_until sys (fun () -> !second <> None);
+  match !second with
+  | Some (Client.Found _) -> ()
+  | Some Client.Lookup_failed -> Alcotest.fail "second lookup failed by the first one's timer"
+  | None -> Alcotest.fail "second lookup never settled"
+
+let stale_reclaim_timeout_spares_new_reclaim () =
+  let sys, owner, file_id, timeout = stale_timeout_setup () in
+  let net = System.net sys in
+  let first_sent = Net.now net in
+  let rc = Client.reclaim_sync owner ~file_id ~expected:3 () in
+  check Alcotest.int "first reclaim: 3 receipts" 3 (List.length rc.Client.receipts);
+  (* Nothing is left to reclaim, so the second reclaim settles only by
+     its own timeout. *)
+  let second_sent = ref nan and settled_at = ref None in
+  second_op_at ~sys ~first_sent ~timeout (fun () ->
+      second_sent := Net.now net;
+      Client.reclaim owner ~file_id (fun _ -> settled_at := Some (Net.now net)));
+  step_until sys (fun () -> !settled_at <> None);
+  match !settled_at with
+  | Some t ->
+    check Alcotest.bool "settled by its own timeout, not the first one's" true
+      (t >= !second_sent +. timeout)
+  | None -> Alcotest.fail "second reclaim never settled"
+
 let suite =
   ( "past-system",
     [
@@ -406,5 +471,7 @@ let suite =
       "lookup retries route around droppers" => lookup_retries_route_around_droppers;
       "rejoin pull restores node range" => rejoin_pull_restores_range ~pull:true;
       "rejoin without pull stays empty" => rejoin_pull_restores_range ~pull:false;
+      "stale lookup timeout spares a newer lookup" => stale_lookup_timeout_spares_new_lookup;
+      "stale reclaim timeout spares a newer reclaim" => stale_reclaim_timeout_spares_new_reclaim;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )
