@@ -1,8 +1,4 @@
-(* 32-bit arithmetic on native 63-bit ints, masking after each op.
-
-   Full 64-byte blocks are compressed straight from the input string;
-   only the last one or two blocks, which carry the 0x80 terminator and
-   the bit length, are built in a small padded buffer. *)
+(* 32-bit arithmetic on native 63-bit ints, masking after each op. *)
 
 let m32 = 0xFFFFFFFF
 let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land m32
@@ -18,10 +14,9 @@ let[@inline] load_be s off =
 (* One block at [s.[off] .. s.[off + 63]] into the chaining state [h]
    (5 words), with [w] as the 80-word schedule. The round loop is split
    by phase so each runs with its own boolean function (Ch and Maj in
-   their three-operation forms) and constant.
-   The rounds are written out rather than shared through a local
-   function: a ref captured by a closure stays a heap cell, one that is
-   not becomes a register. *)
+   their three-operation forms) and constant. The rounds are written
+   out rather than shared through a local function: a ref captured by
+   a closure stays a heap cell, one that is not becomes a register. *)
 let compress h w s off =
   for t = 0 to 15 do
     Array.unsafe_set w t (load_be s (off + (4 * t)))
@@ -81,27 +76,10 @@ let compress h w s off =
   h.(4) <- (h.(4) + !e) land m32
 
 let digest_string s =
-  let len = String.length s in
   let h = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |] in
   let w = Array.make 80 0 in
-  let full = len / 64 in
-  for blk = 0 to full - 1 do
-    compress h w s (64 * blk)
-  done;
-  (* Tail: the last [rest] bytes, 0x80, zeros, 64-bit big-endian bit
-     length — one block if it fits in 64 bytes, else two. *)
-  let rest = len - (64 * full) in
-  let tail_len = if rest < 56 then 64 else 128 in
-  let tail = Bytes.make tail_len '\000' in
-  Bytes.blit_string s (64 * full) tail 0 rest;
-  Bytes.set tail rest '\x80';
-  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
-  let tail = Bytes.unsafe_to_string tail in
-  compress h w tail 0;
-  if tail_len = 128 then compress h w tail 64;
-  let out = Bytes.create 20 in
-  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
-  out
+  Md_blocks.iter s (compress h w);
+  Md_blocks.output h
 
 (* The input is only read, and not retained, during the call. *)
 let digest_bytes msg = digest_string (Bytes.unsafe_to_string msg)

@@ -1,8 +1,5 @@
-(* 32-bit arithmetic on native 63-bit ints, masking after each op.
-
-   Full 64-byte blocks are compressed straight from the input string;
-   only the last one or two blocks, which carry the 0x80 terminator and
-   the bit length, are built in a small padded buffer. *)
+(* 32-bit arithmetic on native 63-bit ints; sums are masked to 32 bits
+   before they are stored. *)
 
 let m32 = 0xFFFFFFFF
 
@@ -27,6 +24,11 @@ let k =
 external get32u : string -> int -> int32 = "%caml_string_get32u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
 
+(* Unchecked big-endian word load; callers keep [off + 4 <= length]. *)
+let[@inline] load_be s off =
+  let x = get32u s off in
+  Int32.to_int (if Sys.big_endian then x else bswap32 x) land m32
+
 (* Σ1(e) + Ch(e, f, g) and Σ0(a) + Maj(a, b, c), each a sum of two
    32-bit values left unmasked; Ch and Maj in their three-operation
    forms. *)
@@ -39,11 +41,6 @@ let[@inline] sigma0_maj a b c =
   (((x lsr 2) lxor (x lsr 13) lxor (x lsr 22)) land m32) + ((a land (b lor c)) lor (b land c))
 
 let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
-
-(* Unchecked big-endian word load; callers keep [off + 4 <= length]. *)
-let[@inline] load_be s off =
-  let x = get32u s off in
-  Int32.to_int (if Sys.big_endian then x else bswap32 x) land m32
 
 (* One block at [s.[off] .. s.[off + 63]] into the chaining state [h]
    (8 words), with [w] as the 64-word schedule. *)
@@ -102,30 +99,13 @@ let compress h w s off =
   h.(7) <- (h.(7) + !hh) land m32
 
 let digest_string s =
-  let len = String.length s in
   let h =
     [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
        0x5be0cd19 |]
   in
   let w = Array.make 64 0 in
-  let full = len / 64 in
-  for blk = 0 to full - 1 do
-    compress h w s (64 * blk)
-  done;
-  (* Tail: the last [rest] bytes, 0x80, zeros, 64-bit big-endian bit
-     length — one block if it fits in 64 bytes, else two. *)
-  let rest = len - (64 * full) in
-  let tail_len = if rest < 56 then 64 else 128 in
-  let tail = Bytes.make tail_len '\000' in
-  Bytes.blit_string s (64 * full) tail 0 rest;
-  Bytes.set tail rest '\x80';
-  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
-  let tail = Bytes.unsafe_to_string tail in
-  compress h w tail 0;
-  if tail_len = 128 then compress h w tail 64;
-  let out = Bytes.create 32 in
-  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
-  out
+  Md_blocks.iter s (compress h w);
+  Md_blocks.output h
 
 (* The input is only read, and not retained, during the call. *)
 let digest_bytes msg = digest_string (Bytes.unsafe_to_string msg)
