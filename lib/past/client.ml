@@ -44,6 +44,7 @@ and lookup_result =
   | Lookup_failed
 
 type reclaim_state = {
+  rc_op : int; (* causal span; names the op for its timeout timer *)
   mutable rc_receipts : Certificate.reclaim_receipt list;
   mutable rc_settled : bool;
   mutable rc_credited : int;
@@ -69,7 +70,7 @@ type t = {
   max_insert_attempts : int;
   verify : bool;
   inserts : insert_state Id.Table.t; (* by file_id *)
-  lookups : lookup_state Id.Table.t;
+  lookups : lookup_state list Id.Table.t; (* in flight, oldest first *)
   reclaims : reclaim_state Id.Table.t;
   audits : (string, audit_state) Hashtbl.t; (* by nonce *)
   (* overlay-wide retry accounting in the system's registry *)
@@ -178,6 +179,7 @@ and finish_insert_attempt t state ~timed_out =
       if state.receipts <> [] then begin
         Id.Table.replace t.reclaims file_id
           {
+            rc_op = state.op;
             rc_receipts = [];
             rc_settled = false;
             rc_credited = 0;
@@ -265,17 +267,28 @@ let insert t ~name ~data ?declared_size ~k cb =
 
 (* --- lookup ------------------------------------------------------------ *)
 
+(* A client may have several lookups of one file in flight. Replies
+   carry no op id: a hit answers every waiting lookup of that file (the
+   client now holds it), a miss counts against the oldest. *)
+let waiting t file_id = Option.value ~default:[] (Id.Table.find_opt t.lookups file_id)
+
+let fail_lookup t file_id state =
+  state.lk_settled <- true;
+  (match List.filter (fun s -> s != state) (waiting t file_id) with
+  | [] -> Id.Table.remove t.lookups file_id
+  | rest -> Id.Table.replace t.lookups file_id rest);
+  state.lk_cb Lookup_failed
+
 let rec send_lookup t file_id state =
-  let attempt = state.lk_attempt in
-  Id.Table.replace t.lookups file_id state;
-  Node.route_client_op t.node ~parent:state.lk_op ~key:(Id.prefix_of_file_id file_id)
-    (Wire.Lookup { file_id; client = client_ref t ~op:state.lk_op });
-  (* The timer outlives the op: [s == state] keeps it from failing a
-     newer lookup of the same file by this client. *)
+  let op = state.lk_op and attempt = state.lk_attempt in
+  Node.route_client_op t.node ~parent:op ~key:(Id.prefix_of_file_id file_id)
+    (Wire.Lookup { file_id; client = client_ref t ~op });
+  (* The timer belongs to this attempt of this lookup, named by its span
+     id: it outlives the op, must not touch a newer one, and holding
+     only ids keeps a settled lookup collectable until it fires. *)
   Net.schedule (net t) ~delay:t.op_timeout (fun () ->
-      match Id.Table.find_opt t.lookups file_id with
-      | Some s when s == state && (not s.lk_settled) && s.lk_attempt = attempt ->
-        lookup_failed_attempt t file_id s
+      match List.find_opt (fun s -> s.lk_op = op) (waiting t file_id) with
+      | Some s when s.lk_attempt = attempt -> lookup_failed_attempt t file_id s
       | _ -> ())
 
 and lookup_failed_attempt t file_id state =
@@ -297,11 +310,7 @@ and lookup_failed_attempt t file_id state =
             send_lookup t file_id state
           end)
     end
-    else begin
-      state.lk_settled <- true;
-      Id.Table.remove t.lookups file_id;
-      state.lk_cb Lookup_failed
-    end
+    else fail_lookup t file_id state
   end
 
 let lookup t ?(retries = 0) ~file_id cb =
@@ -311,9 +320,12 @@ let lookup t ?(retries = 0) ~file_id cb =
         span_end t op ~note:(match r with Found _ -> "found" | Lookup_failed -> "failed");
         cb r)
   in
-  send_lookup t file_id
+  let state =
     { lk_settled = false; retries_left = retries; lk_attempt = 1; lk_retry_pending = false;
       lk_op = op; lk_cb = cb }
+  in
+  Id.Table.replace t.lookups file_id (waiting t file_id @ [ state ]);
+  send_lookup t file_id state
 
 (* --- reclaim ----------------------------------------------------------- *)
 
@@ -332,7 +344,15 @@ let reclaim t ~file_id ?expected cb =
         cb r)
   in
   let state =
-    { rc_receipts = []; rc_settled = false; rc_credited = 0; credit = true; expected; rc_cb = cb }
+    {
+      rc_op = op;
+      rc_receipts = [];
+      rc_settled = false;
+      rc_credited = 0;
+      credit = true;
+      expected;
+      rc_cb = cb;
+    }
   in
   Id.Table.replace t.reclaims file_id state;
   let rc = Smartcard.issue_reclaim_certificate t.card ~file_id ~now:(now t) in
@@ -340,7 +360,7 @@ let reclaim t ~file_id ?expected cb =
     (Wire.Reclaim { rc; client = client_ref t ~op });
   Net.schedule (net t) ~delay:t.op_timeout (fun () ->
       match Id.Table.find_opt t.reclaims file_id with
-      | Some s when s == state && not s.rc_settled -> finish_reclaim t file_id s
+      | Some s when s.rc_op = op && not s.rc_settled -> finish_reclaim t file_id s
       | _ -> ())
 
 (* --- audits (§2.1: "nodes are randomly audited to see if they can
@@ -384,8 +404,9 @@ let dispatch t (msg : Wire.t) =
     | _ -> ())
   | Wire.Lookup_hit { cert; data; hops; dist; server } -> (
     let file_id = cert.Certificate.file_id in
-    match Id.Table.find_opt t.lookups file_id with
-    | Some state when not state.lk_settled ->
+    match waiting t file_id with
+    | [] -> ()
+    | states ->
       (* Client-side integrity check (§2.1): the certificate travels
          with the file and authenticates the content. Disabled for
          simulation-scale runs with placeholder payloads. *)
@@ -393,15 +414,17 @@ let dispatch t (msg : Wire.t) =
         (not t.verify)
         || (Certificate.verify_file cert && Certificate.file_matches_content cert data)
       then begin
-        state.lk_settled <- true;
         Id.Table.remove t.lookups file_id;
-        state.lk_cb (Found { cert; data; hops; dist; server })
-      end
-    | _ -> ())
+        List.iter
+          (fun state ->
+            state.lk_settled <- true;
+            state.lk_cb (Found { cert; data; hops; dist; server }))
+          states
+      end)
   | Wire.Lookup_miss { file_id } -> (
-    match Id.Table.find_opt t.lookups file_id with
-    | Some state -> lookup_failed_attempt t file_id state
-    | None -> ())
+    match waiting t file_id with
+    | state :: _ -> lookup_failed_attempt t file_id state
+    | [] -> ())
   | Wire.Reclaim_ack { receipt } -> (
     let file_id = receipt.Certificate.rr_file_id in
     match Id.Table.find_opt t.reclaims file_id with

@@ -411,14 +411,18 @@ let second_op_at ~sys ~first_sent ~timeout start =
   let net = System.net sys in
   Net.schedule net ~delay:(first_sent +. timeout -. 1e-6 -. Net.now net) start
 
-let stale_lookup_timeout_spares_new_lookup () =
-  let sys, _, file_id, timeout = stale_timeout_setup () in
+(* A reader attached to a node that holds no replica of [file_id]. *)
+let remote_reader sys file_id timeout =
   let access =
     List.find
       (fun node -> not (Store.mem (Node.store node) file_id))
       (Array.to_list (System.nodes sys))
   in
-  let client = System.new_client sys ~access ~op_timeout:timeout ~quota:0 () in
+  System.new_client sys ~access ~op_timeout:timeout ~quota:0 ()
+
+let stale_lookup_timeout_spares_new_lookup () =
+  let sys, _, file_id, timeout = stale_timeout_setup () in
+  let client = remote_reader sys file_id timeout in
   let first_sent = Net.now (System.net sys) in
   (match Client.lookup_sync client ~file_id () with
   | Client.Found _ -> ()
@@ -431,6 +435,23 @@ let stale_lookup_timeout_spares_new_lookup () =
   | Some (Client.Found _) -> ()
   | Some Client.Lookup_failed -> Alcotest.fail "second lookup failed by the first one's timer"
   | None -> Alcotest.fail "second lookup never settled"
+
+(* Two lookups of one file by one client, both in flight: each must
+   settle, neither may be displaced by the other. *)
+let concurrent_lookups_both_settle () =
+  let sys, _, file_id, timeout = stale_timeout_setup () in
+  let client = remote_reader sys file_id timeout in
+  let first = ref None and second = ref None in
+  Client.lookup client ~file_id (fun r -> first := Some r);
+  Client.lookup client ~file_id (fun r -> second := Some r);
+  step_until sys (fun () -> !first <> None && !second <> None);
+  List.iter
+    (fun (name, r) ->
+      match !r with
+      | Some (Client.Found _) -> ()
+      | Some Client.Lookup_failed -> Alcotest.failf "%s lookup failed" name
+      | None -> Alcotest.failf "%s lookup never settled" name)
+    [ ("first", first); ("second", second) ]
 
 let stale_reclaim_timeout_spares_new_reclaim () =
   let sys, owner, file_id, timeout = stale_timeout_setup () in
@@ -473,5 +494,6 @@ let suite =
       "rejoin without pull stays empty" => rejoin_pull_restores_range ~pull:false;
       "stale lookup timeout spares a newer lookup" => stale_lookup_timeout_spares_new_lookup;
       "stale reclaim timeout spares a newer reclaim" => stale_reclaim_timeout_spares_new_reclaim;
+      "concurrent lookups of one file both settle" => concurrent_lookups_both_settle;
       QCheck_alcotest.to_alcotest qcheck_insert_quota_never_leaks;
     ] )
