@@ -165,8 +165,8 @@ let micro_tests () =
    and receipt materials have, hex of one SHA-256 digest, one store
    receipt and one file certificate under the [`Insecure] signer the
    experiments use, both as built by [Certificate] and as issued by a
-   card. The card's quota is unbounded so repeated issues
-   never fail. *)
+   card. The card's quota is unbounded so repeated issues never
+   fail. *)
 module Crypto_bench = struct
   module Cert = Past_core.Certificate
   module Smartcard = Past_core.Smartcard
@@ -198,7 +198,7 @@ module Crypto_bench = struct
         Test.make ~name:"make_store_receipt (insecure)"
           (Staged.stage (fun () ->
                Cert.make_store_receipt ~keypair ~node_key ~node_id ~file_id ~now:1234.5));
-        (* What a replica holder calls: adds deriving the card's nodeId. *)
+        (* What a replica holder calls; the card supplies key and nodeId. *)
         Test.make ~name:"issue_store_receipt (insecure)"
           (Staged.stage (fun () -> Smartcard.issue_store_receipt card ~file_id ~now:1234.5));
         (* Declared size and empty data, as the simulated clients insert. *)
@@ -237,8 +237,8 @@ let run_bechamel title tests =
     (List.sort compare rows);
   Past_stdext.Text_table.print table
 
-
-let run_micro () = run_bechamel "== micro-benchmarks (Bechamel, monotonic clock) ==" (micro_tests ())
+let run_micro () =
+  run_bechamel "== micro-benchmarks (Bechamel, monotonic clock) ==" (micro_tests ())
 
 let run_crypto () =
   run_bechamel "== certificate-path crypto (Bechamel, monotonic clock) ==" (Crypto_bench.tests ())

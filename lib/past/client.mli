@@ -67,7 +67,8 @@ type lookup_result =
 val lookup : t -> ?retries:int -> file_id:Past_id.Id.t -> (lookup_result -> unit) -> unit
 (** [retries] (default 0) re-sends the request on timeout/miss, after
     an exponential backoff — combined with randomized routing this
-    routes around bad nodes. *)
+    routes around bad nodes. Several lookups of one file may be in
+    flight at once; a hit for the file answers all of them. *)
 
 type reclaim_result = { receipts : Certificate.reclaim_receipt list; credited : int }
 
