@@ -28,17 +28,9 @@ type event_kind =
 
 type event = { time : float; node : int; kind : event_kind }
 
-(* Drop accounting is indexed by a dense kind tag. *)
+(* Drop accounting is indexed by a dense kind tag, the one the ring
+   stores (see [record]). *)
 let kind_count = 7
-
-let kind_index = function
-  | Route_start _ -> 0
-  | Route_hop _ -> 1
-  | Route_deliver _ -> 2
-  | Span_start _ -> 3
-  | Span_end _ -> 4
-  | Point _ -> 5
-  | Note _ -> 6
 
 let kind_name_of_index = function
   | 0 -> "route_start"
@@ -57,9 +49,30 @@ let kind_name_of_index = function
    accounting are identical at any parallelism. Single-threaded code
    only ever touches shard 0, which behaves exactly like the
    pre-sharding ring. Ids are made globally unique by carrying the
-   shard index in their low bits. *)
+   shard index in their low bits.
+
+   A shard stores its events as parallel columns rather than as an
+   array of event records: a [Float.Array] of times, int arrays for
+   the node, a tag (kind index in bits 0-2, stage in bits 3-4) and up
+   to four int payloads, and two string arrays for the string
+   payloads. [record] only copies fields into preallocated slots, so a
+   retained event costs no heap block of its own; the records that
+   [events] returns are rebuilt on read. (An array of records keeps
+   every event alive until it is overwritten: at one event per few
+   microseconds each one survives a minor GC and is promoted, and the
+   major-heap work that causes dominated the tail of insert latency.)
+   Columns a kind does not use are reset (to 0 or [""]), so a slot
+   never keeps an old payload alive. *)
 type shard = {
-  ring : event array;
+  times : Float.Array.t;
+  nodes : int array;
+  tags : int array;
+  a : int array; (* route / span id *)
+  b : int array; (* parent, seq or hop count *)
+  c : int array; (* hop source *)
+  d : int array; (* hop destination *)
+  s0 : string array; (* key, op, note or point name *)
+  s1 : string array; (* span detail *)
   mutable next : int; (* slot for the next write *)
   mutable total : int; (* events ever recorded in this shard *)
   mutable next_id : int; (* per-shard route/span id sequence *)
@@ -72,11 +85,18 @@ type t = {
   shards : shard option array; (* Context.max_contexts slots, lazily filled *)
 }
 
-let dummy = { time = 0.0; node = -1; kind = Note "" }
-
 let new_shard capacity =
+  let cap = Stdlib.max 1 capacity in
   {
-    ring = Array.make (Stdlib.max 1 capacity) dummy;
+    times = Float.Array.make cap 0.0;
+    nodes = Array.make cap (-1);
+    tags = Array.make cap 0;
+    a = Array.make cap 0;
+    b = Array.make cap 0;
+    c = Array.make cap 0;
+    d = Array.make cap 0;
+    s0 = Array.make cap "";
+    s1 = Array.make cap "";
     next = 0;
     total = 0;
     next_id = 0;
@@ -102,20 +122,83 @@ let[@inline] shard_for t =
     t.shards.(c) <- Some s;
     s
 
+let stage_index = function Leaf_set -> 0 | Routing_table -> 1 | Rare_case -> 2 | Local -> 3
+
+let stage_of_index = function
+  | 0 -> Leaf_set
+  | 1 -> Routing_table
+  | 2 -> Rare_case
+  | _ -> Local
+
+let[@inline] set_ints s i tag a b c d =
+  Array.unsafe_set s.tags i tag;
+  Array.unsafe_set s.a i a;
+  Array.unsafe_set s.b i b;
+  Array.unsafe_set s.c i c;
+  Array.unsafe_set s.d i d
+
+(* A string column is written only when the slot's value changes: the
+   common route-hop event then stores no pointer at all. *)
+let[@inline] set_string col i v = if Array.unsafe_get col i != v then Array.unsafe_set col i v
+
+let[@inline] set_strings s i s0 s1 =
+  set_string s.s0 i s0;
+  set_string s.s1 i s1
+
+let empty = ""
+
 let record t ~time ~node kind =
   if t.capacity > 0 then begin
     let s = shard_for t in
+    let i = s.next in
     if s.total >= t.capacity then begin
       (* The slot holds a still-retained event about to be lost. *)
-      let old = s.ring.(s.next) in
-      let i = kind_index old.kind in
-      s.dropped_by_kind.(i) <- s.dropped_by_kind.(i) + 1;
+      let k = Array.unsafe_get s.tags i land 7 in
+      s.dropped_by_kind.(k) <- s.dropped_by_kind.(k) + 1;
       s.dropped_sum <- s.dropped_sum + 1
     end;
-    s.ring.(s.next) <- { time; node; kind };
-    s.next <- (s.next + 1) mod t.capacity;
+    Float.Array.unsafe_set s.times i time;
+    Array.unsafe_set s.nodes i node;
+    (match kind with
+     | Route_start { route; parent; key } ->
+       set_ints s i 0 route parent 0 0;
+       set_strings s i key empty
+     | Route_hop { route; seq; from_; to_; stage } ->
+       set_ints s i (1 lor (stage_index stage lsl 3)) route seq from_ to_;
+       set_strings s i empty empty
+     | Route_deliver { route; hops; stage } ->
+       set_ints s i (2 lor (stage_index stage lsl 3)) route hops 0 0;
+       set_strings s i empty empty
+     | Span_start { span; parent; op; detail } ->
+       set_ints s i 3 span parent 0 0;
+       set_strings s i op detail
+     | Span_end { span; note } ->
+       set_ints s i 4 span 0 0 0;
+       set_strings s i note empty
+     | Point { span; name } ->
+       set_ints s i 5 span 0 0 0;
+       set_strings s i name empty
+     | Note text ->
+       set_ints s i 6 0 0 0 0;
+       set_strings s i text empty);
+    s.next <- (if i + 1 = t.capacity then 0 else i + 1);
     s.total <- s.total + 1
   end
+
+let event_at s i =
+  let tag = s.tags.(i) in
+  let stage = stage_of_index (tag lsr 3) in
+  let kind =
+    match tag land 7 with
+    | 0 -> Route_start { route = s.a.(i); parent = s.b.(i); key = s.s0.(i) }
+    | 1 -> Route_hop { route = s.a.(i); seq = s.b.(i); from_ = s.c.(i); to_ = s.d.(i); stage }
+    | 2 -> Route_deliver { route = s.a.(i); hops = s.b.(i); stage }
+    | 3 -> Span_start { span = s.a.(i); parent = s.b.(i); op = s.s0.(i); detail = s.s1.(i) }
+    | 4 -> Span_end { span = s.a.(i); note = s.s0.(i) }
+    | 5 -> Point { span = s.a.(i); name = s.s0.(i) }
+    | _ -> Note s.s0.(i)
+  in
+  { time = Float.Array.get s.times i; node = s.nodes.(i); kind }
 
 (* Ids carry the recording context in their low bits so ids minted
    concurrently by different partitions never collide and never depend
@@ -153,7 +236,7 @@ let events t =
     else begin
       let kept = Stdlib.min s.total t.capacity in
       let start = (s.next - kept + t.capacity) mod t.capacity in
-      List.init kept (fun i -> s.ring.((start + i) mod t.capacity))
+      List.init kept (fun i -> event_at s ((start + i) mod t.capacity))
     end
   in
   let populated = fold (fun acc s -> if s.total > 0 then acc + 1 else acc) 0 t in

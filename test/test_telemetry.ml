@@ -201,6 +201,104 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* The column-backed ring against a list-backed reference. Events of
+   all seven kinds, with every routing stage and with empty and
+   non-empty strings, are recorded across several wraps of a 13-slot
+   ring. After every record the retained events, totals and per-kind
+   drop counts must equal those of a plain list of every event ever
+   recorded (retained = the newest 13, dropped = the rest); routes and
+   spans must equal those reconstructed from the reference's retained
+   events replayed into a ring that never wraps. Route and span ids
+   come from a small set so that complete routes and spans form. *)
+let trace_ring_matches_list_reference () =
+  let cap = 13 in
+  let tr = Trace.create ~capacity:cap () in
+  let rng = Rng.create 41 in
+  let stages = [| Trace.Leaf_set; Trace.Routing_table; Trace.Rare_case; Trace.Local |] in
+  let str () = Rng.pick rng [| ""; "k"; "insert"; "ack"; "a longer payload" |] in
+  let id () = Rng.int rng 4 in
+  let random_kind () =
+    match Rng.int rng 7 with
+    | 0 -> Trace.Route_start { route = id (); parent = id () - 1; key = str () }
+    | 1 ->
+      Trace.Route_hop
+        { route = id (); seq = Rng.int rng 3; from_ = Rng.int rng 9; to_ = Rng.int rng 9;
+          stage = Rng.pick rng stages }
+    | 2 -> Trace.Route_deliver { route = id (); hops = Rng.int rng 5; stage = Rng.pick rng stages }
+    | 3 -> Trace.Span_start { span = id (); parent = id () - 1; op = str (); detail = str () }
+    | 4 -> Trace.Span_end { span = id (); note = str () }
+    | 5 -> Trace.Point { span = id (); name = str () }
+    | _ -> Trace.Note (str ())
+  in
+  let kind_name (e : Trace.event) =
+    match e.Trace.kind with
+    | Trace.Route_start _ -> "route_start"
+    | Trace.Route_hop _ -> "route_hop"
+    | Trace.Route_deliver _ -> "route_deliver"
+    | Trace.Span_start _ -> "span_start"
+    | Trace.Span_end _ -> "span_end"
+    | Trace.Point _ -> "point"
+    | Trace.Note _ -> "note"
+  in
+  let all = ref [] (* newest first *) in
+  let seen_routes = ref false and seen_spans = ref false in
+  for i = 1 to 150 do
+    let e = { Trace.time = float_of_int i *. 0.5; node = Rng.int rng 50; kind = random_kind () } in
+    Trace.record tr ~time:e.Trace.time ~node:e.Trace.node e.Trace.kind;
+    all := e :: !all;
+    let retained = List.rev (List.filteri (fun j _ -> j < cap) !all) in
+    let lost = List.filteri (fun j _ -> j >= cap) !all in
+    let dropped =
+      List.fold_left
+        (fun acc e ->
+          let k = kind_name e in
+          (k, 1 + Option.value ~default:0 (List.assoc_opt k acc)) :: List.remove_assoc k acc)
+        [] lost
+      |> List.sort compare
+    in
+    let at = Printf.sprintf " after %d" i in
+    check Alcotest.bool ("events" ^ at) true (Trace.events tr = retained);
+    check Alcotest.int ("total" ^ at) i (Trace.total_recorded tr);
+    check Alcotest.int ("dropped total" ^ at) (List.length lost) (Trace.dropped_total tr);
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+      ("dropped by kind" ^ at) dropped (Trace.dropped tr);
+    let replay = Trace.create ~capacity:1000 () in
+    List.iter (fun (e : Trace.event) -> Trace.record replay ~time:e.Trace.time ~node:e.Trace.node e.Trace.kind) retained;
+    let routes = Trace.routes tr and spans = Trace.spans tr in
+    check Alcotest.bool ("routes" ^ at) true (routes = Trace.routes replay);
+    check Alcotest.bool ("spans" ^ at) true (spans = Trace.spans replay);
+    seen_routes := !seen_routes || routes <> [];
+    seen_spans := !seen_spans || spans <> []
+  done;
+  check Alcotest.bool "some routes and spans reconstructed" true (!seen_routes && !seen_spans)
+
+(* Recording an event whose kind is already built copies its fields
+   into preallocated columns: on a warm ring (every slot written once)
+   [Trace.record] allocates exactly nothing, whatever the kind. *)
+let trace_record_allocates_nothing () =
+  let kinds =
+    [|
+      Trace.Route_start { route = 1; parent = Trace.no_parent; key = "k" };
+      Trace.Route_hop { route = 1; seq = 0; from_ = 2; to_ = 3; stage = Trace.Routing_table };
+      Trace.Route_deliver { route = 1; hops = 1; stage = Trace.Leaf_set };
+      Trace.Span_start { span = 2; parent = Trace.no_parent; op = "insert"; detail = "f" };
+      Trace.Span_end { span = 2; note = "ok" };
+      Trace.Point { span = 2; name = "ack" };
+      Trace.Note "n";
+    |]
+  in
+  let tr = Trace.create ~capacity:64 () in
+  for i = 0 to 127 do
+    Trace.record tr ~time:1.0 ~node:1 kinds.(i mod 7)
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Trace.record tr ~time:2.5 ~node:3 kinds.(i mod 7)
+  done;
+  let after = Gc.minor_words () in
+  check (Alcotest.float 0.0) "minor words for 10,000 records" 0.0 (after -. before)
+
 (* Ring overwrites are counted per event kind, and the synthetic
    [trace.dropped_events] rows appear in the registry table only when
    events were actually lost — a loss-free run's table (e.g. the EXP1
@@ -546,6 +644,8 @@ let suite =
       "registry isolation" => registry_isolation_between_systems;
       "route trace reconstruction" => route_trace_reconstruction;
       "trace ring drop accounting" => trace_drop_accounting;
+      "trace ring = list-backed reference" => trace_ring_matches_list_reference;
+      "trace record allocates nothing" => trace_record_allocates_nothing;
       "span tree reconstruction" => span_tree_reconstruction;
       "route reconstruction under dup/reorder faults" => route_reconstruction_under_faults;
       "causal trees end-to-end under faults" => causal_tree_end_to_end;
