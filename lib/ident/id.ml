@@ -74,11 +74,24 @@ let digit ~b (t : t) i =
 
 let num_digits ~b (t : t) = bits t / b
 
+(* Runs about three times per routed hop. Whole bytes are compared
+   first; inside the first differing byte the shared digits are the
+   leading zero bits of the xor, rounded down to a multiple of [b]
+   (digits never straddle a byte because [b] divides 8). *)
 let shared_prefix_digits ~b (x : t) (y : t) =
   same_width "Id.shared_prefix_digits" x y;
-  let n = num_digits ~b x in
-  let rec go i = if i < n && digit ~b x i = digit ~b y i then go (i + 1) else i in
-  go 0
+  if b <> 1 && b <> 2 && b <> 4 && b <> 8 then invalid_arg "Id.digit: b must be 1, 2, 4 or 8";
+  let n = String.length x in
+  let rec first_diff i =
+    if i < n && String.unsafe_get x i = String.unsafe_get y i then first_diff (i + 1) else i
+  in
+  let i = first_diff 0 in
+  if i = n then 8 * n / b
+  else begin
+    let v = Char.code (String.unsafe_get x i) lxor Char.code (String.unsafe_get y i) in
+    let rec leading_zeros v z = if v land 0x80 <> 0 then z else leading_zeros (v lsl 1) (z + 1) in
+    (i * (8 / b)) + (leading_zeros v 0 / b)
+  end
 
 let to_nat (t : t) = Nat.of_bytes_be (Bytes.of_string t)
 
@@ -212,6 +225,31 @@ let dist_key_le_sum d a b =
   done;
   (* A carry out means the sum exceeds any d. *)
   !carry = 1 || String.compare d (Bytes.unsafe_to_string sum) <= 0
+
+(* The first (up to) seven bytes of a distance key packed big-endian —
+   the same int {!cw_dist_hi7} yields for the pair the key came from. *)
+let key_hi7 (k : string) =
+  let n = String.length k in
+  let h = ref 0 in
+  for i = 0 to (if n < 7 then n else 7) - 1 do
+    h := (!h lsl 8) lor Char.code (String.unsafe_get k i)
+  done;
+  !h
+
+(* [cw_dist_key a x <= s + l] decided on packed prefixes. With A the
+   prefix sum and D the distance prefix, the full sum's prefix is A or
+   A + 1 (a carry from the low bytes): D < A means at or below, D > A + 1
+   means above, and A spilling past the prefix width is a carry out of
+   the full sum, which exceeds any key. Only D in {A, A + 1} — the
+   carry band — needs the materialized keys. *)
+let cw_dist_le_sum (a : t) (x : t) s l =
+  let n = String.length a in
+  if String.length s <> n || String.length l <> n then invalid_arg "Id.cw_dist_le_sum: width mismatch";
+  let d = cw_dist_hi7 a x in
+  let sum = key_hi7 s + key_hi7 l in
+  if sum >= 1 lsl (8 * if n < 7 then n else 7) || d < sum then true
+  else if d > sum + 1 then false
+  else dist_key_le_sum (cw_dist_key a x) s l
 
 (* Allocation-free ring-distance comparison.
 

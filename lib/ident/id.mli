@@ -118,6 +118,16 @@ val dist_key_le_sum : string -> string -> string -> bool
 (** [dist_key_le_sum d a b] is [d <= a + b] over equal-width distance
     keys (the sum may carry into a 129th bit, which is handled). *)
 
+val key_hi7 : string -> int
+(** The first [min 7 (length)] bytes of a distance key packed
+    big-endian: [key_hi7 (cw_dist_key a b) = cw_dist_hi7 a b]. *)
+
+val cw_dist_le_sum : t -> t -> string -> string -> bool
+(** [cw_dist_le_sum a x s l = dist_key_le_sum (cw_dist_key a x) s l],
+    decided on the packed prefixes without allocating; the keys are
+    materialized only when the prefixes leave the answer to a carry
+    from the low bytes. *)
+
 val add_int : t -> int -> t
 (** Wrapping addition of a (possibly negative) small offset — handy for
     constructing adjacent ids in tests. *)

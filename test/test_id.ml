@@ -275,6 +275,78 @@ let qcheck_digit_reassembly =
       in
       String.equal hex (Id.to_hex a))
 
+(* The digit-by-digit [shared_prefix_digits] that the byte-wise
+   version replaced: the reference for the property below. *)
+let shared_prefix_oracle ~b x y =
+  let n = Id.num_digits ~b x in
+  let rec go i = if i < n && Id.digit ~b x i = Id.digit ~b y i then go (i + 1) else i in
+  go 0
+
+(* [y] copies [x] up to a random byte and then differs in a random bit
+   of it (or not at all), so every prefix length — including "equal"
+   and differences deep inside a byte — is drawn for every b. *)
+let qcheck_prefix_matches_oracle =
+  QCheck.Test.make ~name:"shared_prefix_digits = digit-by-digit oracle (b=1,2,4,8)" ~count:500
+    QCheck.(pair int (oneofl [ 128; 160; 16 ]))
+    (fun (seed, width) ->
+      let rng = Rng.create seed in
+      let x = Id.random rng ~width in
+      let y = Id.to_bytes x in
+      let n = Bytes.length y in
+      let at = Rng.int rng (n + 1) in
+      if at < n then begin
+        Bytes.set y at (Char.chr (Char.code (Bytes.get y at) lxor (1 lsl Rng.int rng 8)));
+        for i = at + 1 to n - 1 do
+          if Rng.bool rng then Bytes.set y i (Char.chr (Rng.int rng 256))
+        done
+      end;
+      let y = Id.of_bytes y in
+      List.for_all
+        (fun b ->
+          Id.shared_prefix_digits ~b x y = shared_prefix_oracle ~b x y
+          && Id.shared_prefix_digits ~b y x = shared_prefix_oracle ~b y x)
+        [ 1; 2; 4; 8 ])
+
+(* [cw_dist_le_sum] against [dist_key_le_sum] on built keys, with the
+   distance forced into and around the carry band: its 7-byte prefix
+   is A - 1 .. A + 2 for A the prefix sum of the two arc keys, and the
+   low bytes are random or saturated (0x00 / 0xff), so both a carry
+   and no carry from the low bytes of the sum are drawn. A third of
+   the cases put the arc keys' prefixes high enough that the sum
+   carries out of the prefix. *)
+let qcheck_le_sum_band =
+  QCheck.Test.make ~name:"cw_dist_le_sum = dist_key_le_sum in the carry band" ~count:1000
+    QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let low () =
+        match Rng.int rng 3 with
+        | 0 -> '\000'
+        | 1 -> '\255'
+        | _ -> Char.chr (Rng.int rng 256)
+      in
+      let fill () = let c = low () in Bytes.init 9 (fun _ -> if Rng.chance rng 0.8 then c else low ()) in
+      let key hi =
+        let b = Bytes.create 16 in
+        for i = 0 to 6 do
+          Bytes.set b i (Char.chr ((hi lsr (8 * (6 - i))) land 0xff))
+        done;
+        Bytes.blit (fill ()) 0 b 7 9;
+        Bytes.to_string b
+      in
+      let limit = 1 lsl 56 in
+      let arc () =
+        if Rng.int rng 3 = 0 then (limit / 2) + Rng.int rng (limit / 2) else Rng.int rng (limit / 4)
+      in
+      let s = key (arc ()) and l = key (arc ()) in
+      let sum = Id.key_hi7 s + Id.key_hi7 l in
+      let d_hi = (sum - 1 + Rng.int rng 4) land (limit - 1) in
+      let d = key d_hi in
+      let a = Id.random rng ~width:128 in
+      let x = Id.of_nat ~width:128 (Nat.add (Id.to_nat a) (Id.to_nat (Id.of_bytes (Bytes.of_string d)))) in
+      String.equal (Id.cw_dist_key a x) d
+      && Id.key_hi7 d = Id.cw_dist_hi7 a x
+      && Id.cw_dist_le_sum a x s l = Id.dist_key_le_sum d s l)
+
 let suite =
   ( "id",
     [
@@ -303,4 +375,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_le_sum;
       QCheck_alcotest.to_alcotest qcheck_prefix_symmetric;
       QCheck_alcotest.to_alcotest qcheck_digit_reassembly;
+      QCheck_alcotest.to_alcotest qcheck_prefix_matches_oracle;
+      QCheck_alcotest.to_alcotest qcheck_le_sum_band;
     ] )
