@@ -9,6 +9,14 @@ module Id = Past_id.Id
    an entry's key is a pure function of the own id and the entry id,
    recomputed on demand; only the farthest (last) entry's full key per
    side — the coverage bound read on every routed hop — is cached.
+   That cached key also serves the learn path: [add] runs for the
+   sender and origin of every routed hop and almost always refuses, so
+   each side first rejects, exactly and without reading a cold entry
+   id, a candidate farther than a full side's farthest entry (packed
+   7-byte prefix of [ext_key]) or an address the side already holds;
+   only the rare survivor pays for the binary search ([side_add]).
+   [covers] likewise decides on packed prefixes and builds no key
+   outside the carry band ({!Id.cw_dist_le_sum}).
    In a sparse ring (< l live nodes) the same peer may legally appear
    on both sides; [members] deduplicates. *)
 type side = {
@@ -51,46 +59,59 @@ let entry_key ~own ~cw id = if cw then Id.cw_dist_key own id else Id.cw_dist_key
 let set_ext side ~own ~cw =
   side.ext_key <- (if side.n = 0 then "" else entry_key ~own ~cw side.ids.(side.n - 1))
 
-(* Insert into a distance-sorted side, capped at l/2. The candidate's
-   packed 7-byte distance prefix decides almost every comparison; the
+let side_mem side addr =
+  let rec go i = i < side.n && (side.addrs.(i) = addr || go (i + 1)) in
+  go 0
+
+(* Insert into a distance-sorted side, capped at l/2. Almost every
+   offer on the learn path (every routed hop offers its sender and
+   origin) is rejected, so two exact early exits run before any search:
+   - a full side rejects a candidate whose packed 7-byte distance
+     prefix is strictly above the farthest entry's (read from
+     [ext_key]) — it would sort after every entry and fall off the cap;
+   - an address already on the side is rejected. Addresses are
+     canonical for life ({!Directory}): the same address carries the
+     same id, hence the same distance, so the search would find it and
+     refuse it anyway.
+   Neither touches the entry ids, which sit in cold memory. Otherwise
+   the candidate's packed prefix decides almost every comparison; the
    full key string is materialized only on a prefix tie. The insertion
    point is found by binary search (the side is strictly ordered by
    (distance, id)): the leftmost entry strictly farther than the
-   candidate — identical to what the historical linear scan chose. A
-   duplicate address implies an equal distance and id, so it always
-   sorts strictly before that point and the address scan over the
-   prefix decides. *)
+   candidate — identical to what the historical linear scan chose. *)
 let side_add side ~cap ~(peer : Peer.t) ~own ~cw =
   let cand_hi = entry_hi ~own ~cw peer.Peer.id in
-  let before i =
-    let c = compare cand_hi (entry_hi ~own ~cw side.ids.(i)) in
-    if c <> 0 then c < 0
-    else begin
-      let c = String.compare (entry_key ~own ~cw peer.Peer.id) (entry_key ~own ~cw side.ids.(i)) in
-      c < 0 || (c = 0 && Id.compare peer.Peer.id side.ids.(i) < 0)
-    end
-  in
-  let rec search lo hi = (* leftmost i with [before i]; n if none *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if before mid then search lo mid else search (mid + 1) hi
-  in
-  let pos = search 0 side.n in
-  let rec dup i = i < pos && (side.addrs.(i) = peer.Peer.addr || dup (i + 1)) in
-  if dup 0 then false
-  else if pos = side.n && side.n >= cap then false
+  if side.n >= cap && cand_hi > Id.key_hi7 side.ext_key then false
+  else if side_mem side peer.Peer.addr then false
   else begin
-    let last = Stdlib.min (side.n + 1) cap - 1 in
-    for j = last downto pos + 1 do
-      side.ids.(j) <- side.ids.(j - 1);
-      side.addrs.(j) <- side.addrs.(j - 1)
-    done;
-    side.ids.(pos) <- peer.Peer.id;
-    side.addrs.(pos) <- peer.Peer.addr;
-    side.n <- last + 1;
-    set_ext side ~own ~cw;
-    true
+    let before i =
+      let c = compare cand_hi (entry_hi ~own ~cw side.ids.(i)) in
+      if c <> 0 then c < 0
+      else begin
+        let c = String.compare (entry_key ~own ~cw peer.Peer.id) (entry_key ~own ~cw side.ids.(i)) in
+        c < 0 || (c = 0 && Id.compare peer.Peer.id side.ids.(i) < 0)
+      end
+    in
+    let rec search lo hi = (* leftmost i with [before i]; n if none *)
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if before mid then search lo mid else search (mid + 1) hi
+    in
+    let pos = search 0 side.n in
+    if pos = side.n && side.n >= cap then false
+    else begin
+      let last = Stdlib.min (side.n + 1) cap - 1 in
+      for j = last downto pos + 1 do
+        side.ids.(j) <- side.ids.(j - 1);
+        side.addrs.(j) <- side.addrs.(j - 1)
+      done;
+      side.ids.(pos) <- peer.Peer.id;
+      side.addrs.(pos) <- peer.Peer.addr;
+      side.n <- last + 1;
+      set_ext side ~own ~cw;
+      true
+    end
   end
 
 let add t (peer : Peer.t) =
@@ -127,10 +148,6 @@ let remove_addr t addr =
   let changed = changed_s || changed_l in
   if changed then t.members_cache <- None;
   changed
-
-let side_mem side addr =
-  let rec go i = i < side.n && (side.addrs.(i) = addr || go (i + 1)) in
-  go 0
 
 let mem_addr t addr = side_mem t.smaller addr || side_mem t.larger addr
 
@@ -173,8 +190,10 @@ let covers t key =
     let s = t.smaller and l = t.larger in
     (* Arc from lo clockwise to hi passes through own: the key is in
        range iff its clockwise offset from lo does not exceed the
-       arc length, which is lo's ccw distance + hi's cw distance. *)
-    Id.dist_key_le_sum (Id.cw_dist_key s.ids.(s.n - 1) key) s.ext_key l.ext_key
+       arc length, which is lo's ccw distance + hi's cw distance.
+       Decided on packed prefixes; no key is built outside the carry
+       band. *)
+    Id.cw_dist_le_sum s.ids.(s.n - 1) key s.ext_key l.ext_key
   end
 
 let closest_to t key =

@@ -26,11 +26,14 @@ let add t ~proximity (peer : Peer.t) =
   else begin
     let cap = t.config.Config.neighborhood_size in
     let rec dup i = i < t.n && (t.addrs.(i) = peer.Peer.addr || dup (i + 1)) in
-    if dup 0 then false
+    (* A full set rejects an offer no closer than its farthest entry
+       before the duplicate scan: it would sort after every entry
+       (equal-proximity incumbents keep precedence) and fall off the
+       cap. [neighborhood_size] 0 is always full. *)
+    if t.n >= cap && (t.n = 0 || proximity >= t.prox.(t.n - 1)) then false
+    else if dup 0 then false
     else begin
-      (* Insertion point: after every entry with proximity <= ours, so
-         equal-proximity incumbents keep precedence. Beyond the cap the
-         offer is dropped without touching the arrays. *)
+      (* Insertion point: after every entry with proximity <= ours. *)
       let rec pos i = if i < t.n && t.prox.(i) <= proximity then pos (i + 1) else i in
       let pos = pos 0 in
       if pos >= cap then false

@@ -218,6 +218,80 @@ let qcheck_replica_set =
       in
       List.equal Id.equal got expected)
 
+(* qcheck: the learn path's early exits change no answer. Random
+   offer/remove sequences run against [Leaf_set.add] and
+   [Neighborhood.add] and against the pre-exit versions kept in
+   [Pastry_oracle]; every return value, both leaf-set sides (in order),
+   the neighborhood (in order) and [covers] must agree after every
+   step. Pools smaller than the leaf set give sparse rings where one
+   peer sits on both sides; larger pools fill the sides. Id mode 1
+   puts every peer within 2^30 of own, so all clockwise distances tie
+   on their top 7 bytes (all 0x00 on one side, all 0xff on the other)
+   and every comparison falls through to the full keys; mode 2 mixes
+   such peers with random ones. Proximities come from four values, so
+   ties are common, and [neighborhood_size] 0 is drawn. Addresses are
+   canonical (one id per address), as the {!Directory} guarantees. *)
+let qcheck_learn_exits_match_oracle =
+  let module O = Pastry_oracle in
+  QCheck.Test.make ~name:"leaf set / neighborhood add = pre-exit oracle" ~count:400 QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let own = Id.random rng ~width:128 in
+      let leaf_set_size = 2 * (1 + Rng.int rng 8) in
+      let neighborhood_size = Rng.int rng 6 in
+      let mode = Rng.int rng 3 in
+      let near () =
+        let d = 1 + Rng.int rng (1 lsl 30) in
+        Id.add_int own (if Rng.bool rng then d else -d)
+      in
+      let pool =
+        Array.init
+          (1 + Rng.int rng ((2 * leaf_set_size) + 4))
+          (fun addr ->
+            let id =
+              if addr = 0 then own (* self: rejected by both *)
+              else if mode = 1 || (mode = 2 && Rng.bool rng) then near ()
+              else Id.random rng ~width:128
+            in
+            Peer.make ~id ~addr)
+      in
+      let config = { Config.default with Config.leaf_set_size; neighborhood_size } in
+      let ls = Leaf_set.create ~config ~own () and ols = O.Leaf_set.create ~leaf_set_size ~own in
+      let nb = Neighborhood.create ~config ~own ()
+      and onb = O.Neighborhood.create ~neighborhood_size ~own in
+      let addrs = List.map (fun p -> p.Peer.addr) in
+      let agree () =
+        addrs (Leaf_set.smaller ls) = O.Leaf_set.smaller ols
+        && addrs (Leaf_set.larger ls) = O.Leaf_set.larger ols
+        && addrs (Neighborhood.members nb) = O.Neighborhood.members onb
+        &&
+        let keys =
+          [ Id.random rng ~width:128; near (); (Rng.pick rng pool).Peer.id ]
+          |> List.concat_map (fun k -> [ k; Id.add_int k 1; Id.add_int k (-1) ])
+        in
+        List.for_all (fun k -> Leaf_set.covers ls k = O.Leaf_set.covers ols k) keys
+      in
+      let rec steps i =
+        i = 0
+        ||
+        let p = Rng.pick rng pool in
+        let same =
+          if Rng.chance rng 0.15 then
+            let a = Leaf_set.remove_addr ls p.Peer.addr in
+            let b = Neighborhood.remove_addr nb p.Peer.addr in
+            a = O.Leaf_set.remove_addr ols p.Peer.addr
+            && b = O.Neighborhood.remove_addr onb p.Peer.addr
+          else begin
+            let proximity = float_of_int (Rng.int rng 4) in
+            let a = Leaf_set.add ls p in
+            let b = Neighborhood.add nb ~proximity p in
+            a = O.Leaf_set.add ols p && b = O.Neighborhood.add onb ~proximity p
+          end
+        in
+        same && agree () && steps (i - 1)
+      in
+      steps 80)
+
 (* --- Neighborhood --- *)
 
 let nbhd_caps_and_keeps_closest () =
@@ -264,6 +338,7 @@ let suite =
       "leaf remove" => leaf_remove;
       "leaf wrap-around" => leaf_wrap_around;
       QCheck_alcotest.to_alcotest qcheck_replica_set;
+      QCheck_alcotest.to_alcotest qcheck_learn_exits_match_oracle;
       "neighborhood cap/closest" => nbhd_caps_and_keeps_closest;
       "neighborhood dedup/remove" => nbhd_dedup_and_remove;
     ] )
