@@ -23,11 +23,14 @@
    Part 5: certificate-path crypto — SHA-1/SHA-256 at certificate
    sizes, digest hex, one store receipt and one file certificate.
 
+   Part 6: the trace ring — ns and minor-heap words per
+   [Trace.record] of a route-hop event into a warm ring.
+
    Flags: --micro-only | --macro-only | --tables-only | --store-only |
-   --crypto-only select one part (default: all); --json additionally
-   writes every micro/macro result that ran to BENCH_results.json
-   (schema: bench name -> {value, unit} with unit one of ns/op,
-   ops/sec, ms), merging with rows already in the file so partial runs
+   --crypto-only | --trace-only select one part (default: all); --json
+   additionally writes every micro/macro result that ran to
+   BENCH_results.json (schema: bench name -> {value, unit} with unit
+   one of ns/op, ops/sec, ms), merging with rows already in the file so partial runs
    keep the rest. *)
 
 open Bechamel
@@ -209,6 +212,41 @@ module Crypto_bench = struct
       ]
 end
 
+(* Trace-ring recording cost: one [Trace.record] of an already-built
+   route-hop event (the kind every routed hop records) into a warm
+   default-sized ring, timed by Bechamel, plus the minor-heap words one
+   such record allocates, counted with [Gc.minor_words] over a million
+   records. Set beside the route and insert pairs with tracing on and
+   off in the micro part, it separates the ring's own cost from the
+   cost of building events at the call sites. *)
+module Trace_bench = struct
+  module Trace = Past_telemetry.Trace
+
+  let hop = Trace.Route_hop { route = 1; seq = 0; from_ = 2; to_ = 3; stage = Trace.Routing_table }
+
+  let warm_ring () =
+    let tr = Trace.create () in
+    for _ = 1 to 2 * 4096 do
+      Trace.record tr ~time:1.0 ~node:1 hop
+    done;
+    tr
+
+  let tests () =
+    let tr = warm_ring () in
+    Test.make_grouped ~name:"trace"
+      [ Test.make ~name:"record route hop (warm ring)"
+          (Staged.stage (fun () -> Trace.record tr ~time:2.5 ~node:3 hop)) ]
+
+  let words_per_record () =
+    let tr = warm_ring () in
+    let n = 1_000_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      Trace.record tr ~time:2.5 ~node:3 hop
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+end
+
 let run_bechamel title tests =
   print_endline title;
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -242,6 +280,12 @@ let run_micro () =
 
 let run_crypto () =
   run_bechamel "== certificate-path crypto (Bechamel, monotonic clock) ==" (Crypto_bench.tests ())
+
+let run_trace () =
+  run_bechamel "== trace ring (Bechamel, monotonic clock) ==" (Trace_bench.tests ());
+  let words = Trace_bench.words_per_record () in
+  record "trace/record route hop words/op (warm ring)" ~unit:"words/op" words;
+  Printf.printf "trace/record route hop (warm ring): %.2f minor words/op\n%!" words
 
 (* --- macro-benchmarks --------------------------------------------------- *)
 
@@ -501,9 +545,16 @@ let () =
   let tables_only = List.mem "--tables-only" args in
   let store_only = List.mem "--store-only" args in
   let crypto_only = List.mem "--crypto-only" args in
+  let trace_only = List.mem "--trace-only" args in
   let json = List.mem "--json" args in
-  let all = not (micro_only || macro_only || tables_only || store_only || crypto_only) in
+  let all =
+    not (micro_only || macro_only || tables_only || store_only || crypto_only || trace_only)
+  in
   if all || micro_only then run_micro ();
+  if all || trace_only then begin
+    if all then print_newline ();
+    run_trace ()
+  end;
   if all || crypto_only then begin
     if all then print_newline ();
     run_crypto ()
