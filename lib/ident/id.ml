@@ -244,7 +244,8 @@ let key_hi7 (k : string) =
    carry band — needs the materialized keys. *)
 let cw_dist_le_sum (a : t) (x : t) s l =
   let n = String.length a in
-  if String.length s <> n || String.length l <> n then invalid_arg "Id.cw_dist_le_sum: width mismatch";
+  if String.length s <> n || String.length l <> n then
+    invalid_arg "Id.cw_dist_le_sum: width mismatch";
   let d = cw_dist_hi7 a x in
   let sum = key_hi7 s + key_hi7 l in
   if sum >= 1 lsl (8 * if n < 7 then n else 7) || d < sum then true

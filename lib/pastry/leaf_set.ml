@@ -63,19 +63,16 @@ let side_mem side addr =
   let rec go i = i < side.n && (side.addrs.(i) = addr || go (i + 1)) in
   go 0
 
-(* Insert into a distance-sorted side, capped at l/2. Almost every
-   offer on the learn path (every routed hop offers its sender and
-   origin) is rejected, so two exact early exits run before any search:
-   - a full side rejects a candidate whose packed 7-byte distance
-     prefix is strictly above the farthest entry's (read from
-     [ext_key]) — it would sort after every entry and fall off the cap;
-   - an address already on the side is rejected. Addresses are
-     canonical for life ({!Directory}): the same address carries the
-     same id, hence the same distance, so the search would find it and
-     refuse it anyway.
-   Neither touches the entry ids, which sit in cold memory. Otherwise
-   the candidate's packed prefix decides almost every comparison; the
-   full key string is materialized only on a prefix tie. The insertion
+(* Insert into a distance-sorted side, capped at l/2. The two early
+   exits (see the header) are exact:
+   - a candidate whose packed prefix is strictly above the farthest
+     entry's sorts after every entry, so a full side drops it;
+   - addresses are canonical for life ({!Directory}): an address on
+     the side carries the candidate's id, hence its distance, so the
+     search would find it and refuse it anyway.
+   Otherwise the candidate's packed prefix decides almost every
+   comparison; the full key string is materialized only on a prefix
+   tie. The insertion
    point is found by binary search (the side is strictly ordered by
    (distance, id)): the leftmost entry strictly farther than the
    candidate — identical to what the historical linear scan chose. *)

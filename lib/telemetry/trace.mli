@@ -42,6 +42,9 @@ val create : ?capacity:int -> unit -> t
 
 val enabled : t -> bool
 val record : t -> time:float -> node:int -> event_kind -> unit
+(** Copy the event's fields into the ring's preallocated columns. It
+    allocates nothing, and the ring keeps no block of the event alive
+    (string payloads are kept by reference). *)
 
 val new_route_id : t -> int
 (** Fresh id tying one routed message's events together. Route and

@@ -324,7 +324,10 @@ let qcheck_le_sum_band =
         | 1 -> '\255'
         | _ -> Char.chr (Rng.int rng 256)
       in
-      let fill () = let c = low () in Bytes.init 9 (fun _ -> if Rng.chance rng 0.8 then c else low ()) in
+      let fill () =
+        let c = low () in
+        Bytes.init 9 (fun _ -> if Rng.chance rng 0.8 then c else low ())
+      in
       let key hi =
         let b = Bytes.create 16 in
         for i = 0 to 6 do
@@ -342,7 +345,8 @@ let qcheck_le_sum_band =
       let d_hi = (sum - 1 + Rng.int rng 4) land (limit - 1) in
       let d = key d_hi in
       let a = Id.random rng ~width:128 in
-      let x = Id.of_nat ~width:128 (Nat.add (Id.to_nat a) (Id.to_nat (Id.of_bytes (Bytes.of_string d)))) in
+      let d_nat = Id.to_nat (Id.of_bytes (Bytes.of_string d)) in
+      let x = Id.of_nat ~width:128 (Nat.add (Id.to_nat a) d_nat) in
       String.equal (Id.cw_dist_key a x) d
       && Id.key_hi7 d = Id.cw_dist_hi7 a x
       && Id.cw_dist_le_sum a x s l = Id.dist_key_le_sum d s l)

@@ -264,7 +264,10 @@ let trace_ring_matches_list_reference () =
       (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
       ("dropped by kind" ^ at) dropped (Trace.dropped tr);
     let replay = Trace.create ~capacity:1000 () in
-    List.iter (fun (e : Trace.event) -> Trace.record replay ~time:e.Trace.time ~node:e.Trace.node e.Trace.kind) retained;
+    List.iter
+      (fun (e : Trace.event) ->
+        Trace.record replay ~time:e.Trace.time ~node:e.Trace.node e.Trace.kind)
+      retained;
     let routes = Trace.routes tr and spans = Trace.spans tr in
     check Alcotest.bool ("routes" ^ at) true (routes = Trace.routes replay);
     check Alcotest.bool ("spans" ^ at) true (spans = Trace.spans replay);
